@@ -102,8 +102,10 @@ TEST(JobsFromArgs, ParsesFlag)
 {
     const char *argv1[] = {"bench", "--jobs", "6"};
     EXPECT_EQ(harness::jobsFromArgs(3, const_cast<char **>(argv1)), 6u);
+    // parallel.hh: "N if present and >= 1, otherwise defaultJobs()".
     const char *argv2[] = {"bench", "--jobs", "0"};
-    EXPECT_EQ(harness::jobsFromArgs(3, const_cast<char **>(argv2)), 1u);
+    EXPECT_EQ(harness::jobsFromArgs(3, const_cast<char **>(argv2)),
+              harness::defaultJobs());
     const char *argv3[] = {"bench"};
     EXPECT_EQ(harness::jobsFromArgs(1, const_cast<char **>(argv3)),
               harness::defaultJobs());

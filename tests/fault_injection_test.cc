@@ -38,8 +38,9 @@ TEST(FaultInjector, SameSeedSamePlanIsBitIdentical)
         const auto da = a.rollDelaySnoop();
         const auto db = b.rollDelaySnoop();
         EXPECT_EQ(da.has_value(), db.has_value());
-        if (da && db)
+        if (da && db) {
             EXPECT_EQ(*da, *db);
+        }
     }
     EXPECT_EQ(a.snoopsDropped.value(), b.snoopsDropped.value());
     EXPECT_GT(a.snoopsDropped.value(), 0u);

@@ -69,8 +69,9 @@ TEST(SimdDispatch, ForceScalarEnvPinsTheTable)
         ::unsetenv("HYPERPLANE_FORCE_SCALAR");
     simd::refreshDispatch();
     // "0" and unset both mean no forcing.
-    if (!old || saved == "0")
+    if (!old || saved == "0") {
         EXPECT_FALSE(simd::kernels().forcedScalar);
+    }
 }
 
 TEST(SimdChecksum, VariantsMatchScalarRawSums)
@@ -134,9 +135,10 @@ TEST(SimdCrc32c, VariantsMatchScalar)
         const std::uint32_t want = scalar(buf.data() + off, len, seed);
         ASSERT_EQ(simd::kernels().crc32c(buf.data() + off, len, seed),
                   want);
-        if (hw)
+        if (hw) {
             ASSERT_EQ(hw(buf.data() + off, len, seed), want)
                 << "len=" << len << " off=" << off;
+        }
     }
 }
 
@@ -146,8 +148,9 @@ TEST(SimdCrc32c, StandardCheckStringOnEveryVariant)
     const auto *p = reinterpret_cast<const std::uint8_t *>(s.data());
     EXPECT_EQ(simd::scalarKernels().crc32c(p, s.size(), 0), 0xe3069283u);
     EXPECT_EQ(simd::kernels().crc32c(p, s.size(), 0), 0xe3069283u);
-    if (const auto hw = simd::crc32cSse42())
+    if (const auto hw = simd::crc32cSse42()) {
         EXPECT_EQ(hw(p, s.size(), 0), 0xe3069283u);
+    }
 }
 
 TEST(SimdChecksum, SplicedMatchesTwoCallPattern)
