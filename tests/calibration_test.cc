@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include "dp/sdp_system.hh"
 #include "harness/runner.hh"
 
@@ -23,6 +27,24 @@ struct PeakBand
     double lo;
     double hi;
 };
+
+/**
+ * gtest names each instance (and gtest_discover_tests each ctest) by
+ * its printed parameter.  The default printer dumps the raw object,
+ * padding after `kind` included, and those bytes hold whatever the
+ * stack did, so the test names changed from run to run.  Print the
+ * same byte dump with the padding zeroed so the names are stable.
+ */
+void
+PrintTo(const PeakBand &band, std::ostream *os)
+{
+    unsigned char bytes[sizeof(PeakBand)] = {};
+    std::memcpy(bytes + offsetof(PeakBand, kind), &band.kind,
+                sizeof band.kind);
+    std::memcpy(bytes + offsetof(PeakBand, lo), &band.lo, sizeof band.lo);
+    std::memcpy(bytes + offsetof(PeakBand, hi), &band.hi, sizeof band.hi);
+    ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class PeakCalibration : public ::testing::TestWithParam<PeakBand>
 {
